@@ -21,6 +21,8 @@ class AccessControl {
  public:
   AccessControl(int num_nodes, const std::vector<int>& attacker_nodes);
 
+  /// True iff the attacker controls node v.
+  bool Controls(int v) const { return controlled_[v]; }
   /// True iff the edge (u, v) may be flipped.
   bool EdgeAllowed(int u, int v) const {
     return controlled_[u] || controlled_[v];
@@ -42,8 +44,8 @@ class AccessControl {
 /// Deterministic by construction (a sorted vector of packed keys, no
 /// hashing), so scans that consult it stay bitwise-identical at any
 /// thread count. Insert is O(size) — irrelevant at budget-bounded sizes
-/// — and Contains is O(log size), off the scans' inner-loop hot path
-/// (the exclude test only runs for allowed candidates).
+/// — and Contains is O(log size); row scans use ForEachAbsent, which
+/// merges a row's sorted keys instead of searching once per column.
 class FlipSet {
  public:
   /// `cols` is the coordinate stride: the node count for edge sets, the
@@ -76,6 +78,21 @@ class FlipSet {
   }
 
   size_t size() const { return keys_.size(); }
+
+  /// Calls fn(c) for each c in [c0, c1), ascending, with (r, c) not in
+  /// the set: one binary search, then a merge walk along the row's keys.
+  template <typename Fn>
+  void ForEachAbsent(int r, int c0, int c1, const Fn& fn) const {
+    auto it = std::lower_bound(keys_.begin(), keys_.end(), Key(r, c0));
+    const int64_t row = Key(r, 0);
+    for (int c = c0; c < c1; ++c) {
+      if (it != keys_.end() && *it == row + c) {
+        ++it;
+        continue;
+      }
+      fn(c);
+    }
+  }
 
  private:
   void Toggle(int r, int c) {
@@ -143,25 +160,64 @@ linalg::SparseMatrix DenseToAdjacency(const linalg::Matrix& dense);
 namespace internal {
 
 /// Rows (u) per chunk of the parallel candidate scans. Any partition is
-/// deterministic here: per-chunk argmax keeps the lowest (u, v) on ties
-/// (strict '>'), and the ordered chunk merge keeps the earlier chunk on
-/// ties, which together reproduce the serial scan's lowest-index winner
-/// at any thread count (the greedy commit order must not depend on the
+/// deterministic here: per-chunk argmax keeps the lowest index on ties,
+/// and the ordered chunk merge keeps the earlier chunk on ties, which
+/// together reproduce the serial scan's lowest-index winner at any
+/// thread count (the greedy commit order must not depend on the
 /// machine — see DESIGN.md, "Determinism & threading").
 constexpr int64_t kScanRowGrain = 32;
 
+/// Columns per tile of `BestEdgeFlipRows`: the v-slice of the factor
+/// panels one tile reads stays in L2 across a chunk's rows. 64 was the
+/// fastest of 8..512 for n = 1e3..1e4 and F = 32..580 (EXPERIMENTS.md).
+constexpr int kScanColTile = 64;
+
 }  // namespace internal
 
-/// Generic form of `BestEdgeFlip`: the same chunked parallel argmax with
-/// the same skip conditions and lowest-(u, v) tie-break, but flip scores
-/// come from a caller-supplied callable `score(u, v)` (u < v) instead of
-/// a dense gradient matrix. The incremental PEEGA engine plugs in its
-/// sparse closed-form score provider here; `BestEdgeFlip` delegates with
-/// the historical dense-gradient score.
-template <typename ScoreFn>
-EdgeCandidate BestEdgeFlipScored(int num_nodes, const AccessControl& access,
-                                 const FlipSet* exclude,
-                                 const ScoreFn& score) {
+/// Calls visit(v, score) for every open pair (u, v), v in [v0, v1)
+/// ascending: allowed by `access` and not in `exclude`. Scores come from
+/// `score_row(u, a, b, out)`, which writes the scores of (u, a..b-1)
+/// into out[0..b-a): a row the attacker controls is scored as one range
+/// into `buffer` (>= v1 - v0 floats), any other row only at the
+/// attacker-controlled v it may pair with.
+template <typename RowFn, typename Visit>
+void VisitOpenPairs(const AccessControl& access, const FlipSet* exclude,
+                    int u, int v0, int v1, const RowFn& score_row,
+                    float* buffer, const Visit& visit) {
+  const bool whole_row = access.Controls(u);
+  if (whole_row) score_row(u, v0, v1, buffer);
+  const auto open = [&](int v) {
+    if (whole_row) {
+      visit(v, buffer[v - v0]);
+    } else if (access.Controls(v)) {
+      float score;
+      score_row(u, v, v + 1, &score);
+      visit(v, score);
+    }
+  };
+  if (exclude != nullptr) {
+    exclude->ForEachAbsent(u, v0, v1, open);
+  } else {
+    for (int v = v0; v < v1; ++v) open(v);
+  }
+}
+
+/// Row form of `BestEdgeFlip`: the same chunked parallel argmax with the
+/// same skip conditions, `attack.edges_scanned` count and lowest-(u, v)
+/// tie-break, with scores from a caller-supplied row scorer
+/// `score_row(u, v0, v1, out)` that writes the flip scores of (u, v),
+/// v in [v0, v1), into out[v - v0]. The incremental PEEGA engine plugs
+/// in its fused row kernel here.
+///
+/// Within a chunk of kScanRowGrain rows the scan walks column tiles of
+/// kScanColTile, every row per tile, so the argmax compares (u, v)
+/// explicitly on equal scores; with the ordered chunk merge keeping the
+/// earlier chunk, the winner is the lowest (u, v) of the best score at
+/// any thread count, as in a serial row-major scan.
+template <typename RowFn>
+EdgeCandidate BestEdgeFlipRows(int num_nodes, const AccessControl& access,
+                               const FlipSet* exclude,
+                               const RowFn& score_row) {
   const obs::TraceSpan span("attack.best_edge_flip");
   static obs::Counter* const scans = obs::GetCounter("attack.edge_scans");
   static obs::Counter* const scanned =
@@ -179,15 +235,24 @@ EdgeCandidate BestEdgeFlipScored(int num_nodes, const AccessControl& access,
         // at any thread count) and the atomic add stays off the inner
         // loop.
         uint64_t considered = 0;
-        for (int u = static_cast<int>(u0); u < static_cast<int>(u1); ++u) {
-          for (int v = u + 1; v < num_nodes; ++v) {
-            if (!access.EdgeAllowed(u, v)) continue;
-            if (exclude != nullptr && exclude->Contains(u, v)) continue;
-            ++considered;
-            const float s = score(u, v);
-            if (s > local.score) {
-              local = {u, v, s};
-            }
+        std::vector<float> buffer(internal::kScanColTile);
+        const int first = static_cast<int>(u0) + 1;
+        for (int t0 = first - first % internal::kScanColTile; t0 < num_nodes;
+             t0 += internal::kScanColTile) {
+          const int t1 = std::min(t0 + internal::kScanColTile, num_nodes);
+          for (int u = static_cast<int>(u0); u < static_cast<int>(u1); ++u) {
+            const int v0 = std::max(u + 1, t0);
+            if (v0 >= t1) continue;
+            VisitOpenPairs(
+                access, exclude, u, v0, t1, score_row, buffer.data(),
+                [&](int v, float s) {
+                  ++considered;
+                  if (s > local.score ||
+                      (s == local.score && local.u >= 0 &&
+                       (u < local.u || (u == local.u && v < local.v)))) {
+                    local = {u, v, s};
+                  }
+                });
           }
         }
         scanned->Add(considered);
@@ -198,6 +263,20 @@ EdgeCandidate BestEdgeFlipScored(int num_nodes, const AccessControl& access,
       });
   if (best.u < 0) best.score = -std::numeric_limits<float>::infinity();
   return best;
+}
+
+/// Per-pair form of `BestEdgeFlipRows` over a `score(u, v)` callable
+/// (u < v), e.g. a dense gradient or the engine's per-pair EdgeScore.
+template <typename ScoreFn>
+EdgeCandidate BestEdgeFlipScored(int num_nodes, const AccessControl& access,
+                                 const FlipSet* exclude,
+                                 const ScoreFn& score) {
+  return BestEdgeFlipRows(num_nodes, access, exclude,
+                          [&](int u, int v0, int v1, float* out) {
+                            for (int v = v0; v < v1; ++v) {
+                              out[v - v0] = score(u, v);
+                            }
+                          });
 }
 
 /// Generic form of `BestFeatureFlip` over a `score(v, j)` callable; same

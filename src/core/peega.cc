@@ -205,7 +205,7 @@ status::Status CheckInterrupt(const status::Deadline& deadline,
 
 // Alg. 1 on the incremental engine: same loop structure, budget
 // accounting, freeze sets, and tie-breaks as the tape path below,
-// but scores come from PeegaEngine's cached closed-form gradients and
+// but scores come from PeegaEngine's closed-form gradients and
 // flips are committed as sparse delta updates. The two paths produce
 // the same flip sequence (tests/engine_equiv_test.cc).
 AttackResult AttackWithEngine(const PeegaAttack::Options& options,
@@ -289,9 +289,11 @@ AttackResult AttackWithEngine(const PeegaAttack::Options& options,
     {
       const obs::TraceSpan scan_span("peega.scan");
       if (can_edge) {
-        edge = attack::BestEdgeFlipScored(
+        edge = attack::BestEdgeFlipRows(
             g.num_nodes, access, &edge_done,
-            [&](int u, int v) { return engine.EdgeScore(u, v); });
+            [&](int u, int v0, int v1, float* out) {
+              engine.EdgeScoreRow(u, v0, v1, out);
+            });
       }
       if (can_feature) {
         feature = attack::BestFeatureFlipScored(

@@ -68,9 +68,11 @@ void PruneToTop(std::vector<Candidate>* out, int keep) {
   out->resize(static_cast<size_t>(keep));
 }
 
-// Sharded candidate scan shared by the engine and tape batch paths:
-// row-chunked with static kScanRowGrain chunks, per-chunk buffers
-// concatenated in ascending chunk order (= the serial scan order). When
+// Sharded candidate scan shared by the engine and tape batch paths,
+// with edge scores from a row scorer `edge_row(u, v0, v1, out)` (see
+// attack::VisitOpenPairs): row-chunked with static kScanRowGrain
+// chunks, per-chunk buffers concatenated in ascending chunk order
+// (= the serial scan order). When
 // `keep` > 0 each shard prunes to its best `keep` candidates under
 // RanksBefore after every scanned row, so scan memory is
 // O(keep + num_cols) per shard instead of the full O(N²) candidate
@@ -79,12 +81,12 @@ void PruneToTop(std::vector<Candidate>* out, int keep) {
 // list exactly. `keep` <= 0 collects everything: Gumbel runs draw one
 // noise value per candidate in list order, so every candidate must
 // survive to the draw for seeded reproducibility.
-template <typename EdgeScoreFn, typename FeatureScoreFn>
+template <typename EdgeRowFn, typename FeatureScoreFn>
 std::vector<Candidate> CollectCandidates(
     int num_nodes, int num_features, const AccessControl& access,
     const attack::FlipSet& edge_done, const attack::FlipSet& feature_done,
     bool attack_topology, bool attack_features, float beta, int keep,
-    const EdgeScoreFn& edge_score, const FeatureScoreFn& feature_score) {
+    const EdgeRowFn& edge_row, const FeatureScoreFn& feature_score) {
   std::vector<Candidate> candidates;
   if (attack_topology) {
     const int64_t chunks = parallel::NumChunks(num_nodes, kScanRowGrain);
@@ -94,13 +96,13 @@ std::vector<Candidate> CollectCandidates(
         0, num_nodes, kScanRowGrain,
         [&](int64_t u0, int64_t u1, int64_t chunk) {
           auto& out = per_chunk[static_cast<size_t>(chunk)];
+          std::vector<float> scores(static_cast<size_t>(num_nodes));
           for (int u = static_cast<int>(u0); u < static_cast<int>(u1); ++u) {
-            for (int v = u + 1; v < num_nodes; ++v) {
-              if (edge_done.Contains(u, v) || !access.EdgeAllowed(u, v)) {
-                continue;
-              }
-              out.push_back({edge_score(u, v), false, u, v});
-            }
+            attack::VisitOpenPairs(
+                access, &edge_done, u, u + 1, num_nodes, edge_row,
+                scores.data(), [&](int v, float s) {
+                  out.push_back({s, false, u, v});
+                });
             if (keep > 0) PruneToTop(&out, keep);
           }
         });
@@ -196,7 +198,9 @@ AttackResult BatchWithEngine(const PeegaBatchAttack::Options& options,
       candidates = CollectCandidates(
           g.num_nodes, num_features, access, edge_done, feature_done,
           attack_topology, attack_features, beta, keep,
-          [&](int u, int v) { return engine.EdgeScore(u, v); },
+          [&](int u, int v0, int v1, float* out) {
+            engine.EdgeScoreRow(u, v0, v1, out);
+          },
           [&](int v, int j) { return engine.FeatureScore(v, j) / beta; });
     }  // collect_span
     collected->Add(candidates.size());
@@ -332,9 +336,11 @@ AttackResult PeegaBatchAttack::Attack(const graph::Graph& g,
       candidates = CollectCandidates(
           g.num_nodes, g.features.cols(), access, edge_done, feature_done,
           attack_topology, attack_features, beta, keep,
-          [&](int u, int v) {
-            const float direction = 1.0f - 2.0f * dense(u, v);
-            return direction * (a_grad(u, v) + a_grad(v, u));
+          [&](int u, int v0, int v1, float* out) {
+            for (int v = v0; v < v1; ++v) {
+              const float direction = 1.0f - 2.0f * dense(u, v);
+              out[v - v0] = direction * (a_grad(u, v) + a_grad(v, u));
+            }
           },
           [&](int v, int j) {
             const float direction = 1.0f - 2.0f * features(v, j);

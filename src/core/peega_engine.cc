@@ -21,11 +21,10 @@ using linalg::SparseMatrix;
 
 namespace {
 
-// Row grains for the refresh stages. Every stage writes disjoint rows
-// (or disjoint column slices of a fixed row), so chunking only affects
-// load balance, never the cached values.
-constexpr int64_t kGmRowGrain = 4;   // O(pairs * F) work per row
-constexpr int64_t kSumRowGrain = 16; // O(l * N) work per row
+// Row grains for the refresh stages. Every stage writes disjoint rows,
+// so chunking only affects load balance, never the cached values.
+constexpr int64_t kGmRowGrain = 4;       // O(pairs * F) work per row
+constexpr int64_t kDegreeRowGrain = 64;  // O(deg * l * F) work per row
 
 std::vector<int> CollectRows(const std::vector<char>& mask) {
   std::vector<int> rows;
@@ -61,8 +60,7 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
       attack_features_(config.attack_features),
       targeted_(!config.target_nodes.empty()),
       is_target_(g.num_nodes, config.target_nodes.empty() ? 1 : 0),
-      target_order_(config.target_nodes),
-      features_(g.features) {
+      target_order_(config.target_nodes) {
   PEEGA_CHECK_GE(layers_, 1);
   PEEGA_CHECK_GE(p_, 1);
   for (int v : target_order_) {
@@ -91,7 +89,7 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
   }
 
   h_.resize(static_cast<size_t>(layers_) + 1);
-  h_[0] = features_;
+  h_[0] = g.features;
   for (int k = 1; k <= layers_; ++k) {
     h_[static_cast<size_t>(k)] = Matrix(n_, f_);
     linalg::NormalizedSpMM(neighbors_, scale_, h_[static_cast<size_t>(k) - 1],
@@ -102,17 +100,11 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
   reference_ = h_[static_cast<size_t>(layers_)];
 
   gm_ = Matrix(n_, f_);
-  gm_nonzero_.assign(static_cast<size_t>(n_), 0);
   w_.resize(static_cast<size_t>(layers_) - 1);
-  w_nonzero_.resize(static_cast<size_t>(layers_) - 1);
-  for (int k = 1; k < layers_; ++k) {
-    w_[static_cast<size_t>(k) - 1] = Matrix(n_, f_);
-    w_nonzero_[static_cast<size_t>(k) - 1].assign(static_cast<size_t>(n_), 0);
-  }
+  for (int k = 1; k < layers_; ++k) w_[static_cast<size_t>(k) - 1] = Matrix(n_, f_);
   if (attack_topology_) {
-    u_.resize(static_cast<size_t>(layers_));
-    for (int k = 0; k < layers_; ++k) u_[static_cast<size_t>(k)] = Matrix(n_, n_);
-    gn_ = Matrix(n_, n_);
+    panels_ = linalg::EdgeScorePanels(n_, f_, 2 * layers_);
+    x_support_ = linalg::EdgeScoreSupport(n_, f_);
     ddeg_.assign(static_cast<size_t>(n_), 0.0f);
   }
   if (attack_features_) gx_ = Matrix(n_, f_);
@@ -124,6 +116,20 @@ PeegaEngine::PeegaEngine(const graph::Graph& g, const Config& config)
 
   pending_rows_a_.assign(static_cast<size_t>(n_), 0);
   pending_rows_h0_.assign(static_cast<size_t>(n_), 0);
+
+  static obs::Gauge* const cache_bytes =
+      obs::GetGauge("peega_engine.cache_bytes");
+  cache_bytes->Set(static_cast<double>(CacheBytes()));
+}
+
+size_t PeegaEngine::CacheBytes() const {
+  size_t floats = reference_.size() + gm_.size() + gx_.size() +
+                  panels_.size() + ddeg_.size() + self_norm_.size() +
+                  pair_norm_.size();
+  for (const Matrix& m : h_) floats += m.size();
+  for (const Matrix& m : w_) floats += m.size();
+  return floats * sizeof(float) + x_support_.size() * sizeof(int) +
+         (self_term_.size() + pair_term_.size()) * sizeof(double);
 }
 
 std::vector<char> PeegaEngine::ExpandChanged(
@@ -169,10 +175,7 @@ void PeegaEngine::AccumulatePairTerm(float* grow, const float* xrow,
 void PeegaEngine::RecomputeGmRow(int r) {
   float* grow = gm_.row(r);
   for (int j = 0; j < f_; ++j) grow[j] = 0.0f;
-  if (!is_target_[static_cast<size_t>(r)]) {
-    gm_nonzero_[static_cast<size_t>(r)] = 0;
-    return;
-  }
+  if (!is_target_[static_cast<size_t>(r)]) return;
   const float* xrow = h_[static_cast<size_t>(layers_)].row(r);
   // Global-view pairs first: the global SumEdgePNorm node is created
   // after the self one, so its backward (weight lambda from the Scale
@@ -187,14 +190,6 @@ void PeegaEngine::RecomputeGmRow(int r) {
   AccumulatePairTerm(grow, xrow, r, 1.0f,
                      &self_term_[static_cast<size_t>(r)],
                      &self_norm_[static_cast<size_t>(r)]);
-  char nonzero = 0;
-  for (int j = 0; j < f_; ++j) {
-    if (grow[j] != 0.0f) {
-      nonzero = 1;
-      break;
-    }
-  }
-  gm_nonzero_[static_cast<size_t>(r)] = nonzero;
 }
 
 status::Status PeegaEngine::RefreshScores() {
@@ -211,14 +206,13 @@ status::Status PeegaEngine::RefreshScores() {
       obs::GetCounter("peega_engine.rows_touched");
   refreshes->Add(1);
 
-  const bool full = fresh_;
   // Changed-row sets, one per cache level. d[k] holds the rows of H_k a
   // pending flip reaches (feature flips enter at H_0, edge flips at
   // every level through the A_n rows they rescale); e[k] holds the rows
   // of W_k = A_n^k G_M the same flips reach on the backward side.
   std::vector<std::vector<int>> d(static_cast<size_t>(layers_) + 1);
   std::vector<std::vector<int>> e(static_cast<size_t>(layers_) + 1);
-  if (full) {
+  if (fresh_) {
     for (auto& rows : d) rows = AllRows(n_);
     for (auto& rows : e) rows = AllRows(n_);
   } else {
@@ -262,115 +256,31 @@ status::Status PeegaEngine::RefreshScores() {
                           });
   }
 
-  // 3. Backward chains W_k = A_n W_{k-1}, rows e[k]; nonzero flags track
-  //    freshly written rows so the U updates can skip zero-support rows.
+  // 3. Backward chains W_k = A_n W_{k-1}, rows e[k].
   for (int k = 1; k < layers_; ++k) {
     linalg::NormalizedSpMMRows(neighbors_, scale_, e[static_cast<size_t>(k)],
                                W(k - 1), MutableW(k));
-    std::vector<char>& flags = *MutableWNonzero(k);
-    const Matrix& wk = W(k);
-    for (const int r : e[static_cast<size_t>(k)]) {
-      const float* row = wk.row(r);
-      char nonzero = 0;
-      for (int j = 0; j < f_; ++j) {
-        if (row[j] != 0.0f) {
-          nonzero = 1;
-          break;
-        }
-      }
-      flags[static_cast<size_t>(r)] = nonzero;
-    }
   }
 
   if (attack_topology_) {
-    // 4. U_k = W_k H_{l-1-k}^T — rows where W_k moved, columns where
-    //    H_{l-1-k} moved (redundant on a full build).
+    // 4. Factor panels: the rows of W_k (e[k]) and H_{l-1-k} (d[l-1-k])
+    //    that moved, and the group support of the moved rows of H_0.
     for (int k = 0; k < layers_; ++k) {
-      Matrix* uk = &u_[static_cast<size_t>(k)];
-      const Matrix& hk = h_[static_cast<size_t>(layers_ - 1 - k)];
-      linalg::DotRowsInto(W(k), hk, e[static_cast<size_t>(k)], &WNonzero(k),
-                          uk);
-      const auto& cols = d[static_cast<size_t>(layers_ - 1 - k)];
-      if (!full && !cols.empty()) {
-        linalg::DotColsInto(W(k), hk, cols, &WNonzero(k), uk);
-      }
+      linalg::StorePanelRows(W(k), e[static_cast<size_t>(k)], k, &panels_);
+      linalg::StorePanelRows(h_[static_cast<size_t>(layers_ - 1 - k)],
+                             d[static_cast<size_t>(layers_ - 1 - k)],
+                             layers_ + k, &panels_);
     }
-
-    // 5. G_N = U_0 + U_1 + ... in the tape's reverse-layer Axpy order.
-    //    Changed entries live in rows e[l-1] (all U row sets nest into
-    //    it) and columns d[l-1] (likewise for the column sets).
-    {
-      const obs::TraceSpan sum_span("peega_engine.gn_sum");
-      std::vector<char> row_changed(static_cast<size_t>(n_), 0);
-      for (const int r : e[static_cast<size_t>(layers_) - 1]) {
-        row_changed[static_cast<size_t>(r)] = 1;
-      }
-      const auto& cols = d[static_cast<size_t>(layers_) - 1];
-      parallel::ParallelFor(
-          0, n_, kSumRowGrain, [&](int64_t r0, int64_t r1) {
-            std::vector<const float*> urow(static_cast<size_t>(layers_));
-            for (int i = static_cast<int>(r0); i < static_cast<int>(r1);
-                 ++i) {
-              float* grow = gn_.row(i);
-              for (int k = 0; k < layers_; ++k) {
-                urow[static_cast<size_t>(k)] = u_[static_cast<size_t>(k)].row(i);
-              }
-              const auto sum_entry = [&](int j) {
-                float acc = urow[0][j];
-                for (int k = 1; k < layers_; ++k) {
-                  acc = acc + urow[static_cast<size_t>(k)][j];
-                }
-                grow[j] = acc;
-              };
-              if (full || row_changed[static_cast<size_t>(i)]) {
-                for (int j = 0; j < n_; ++j) sum_entry(j);
-              } else {
-                for (const int j : cols) sum_entry(j);
-              }
-            }
-          });
-    }
-
-    // 6. Degree chain rule. The tape's s-gradient accumulates the
-    //    ScaleColsVar backward (column sums of G_N against the
-    //    row-scaled values) before the ScaleRowsVar backward (row sums
-    //    against A + I), then scales by d(1/sqrt)/d(deg). A + I is 0/1,
-    //    so both reduce to sums over the closed neighborhood; zero
-    //    entries contribute exact zeros in the tape and are skipped
-    //    here. O(nnz) total — recomputed in full every refresh.
-    {
-      const obs::TraceSpan deg_span("peega_engine.degree_chain");
-      for (int a = 0; a < n_; ++a) {
-        float ds_col = 0.0f;
-        float ds_row = 0.0f;
-        const auto visit = [&](int i) {
-          ds_col += gn_(i, a) * scale_[static_cast<size_t>(i)];
-          ds_row += gn_(a, i) * scale_[static_cast<size_t>(i)];
-        };
-        bool self_done = false;
-        for (const int k : neighbors_[static_cast<size_t>(a)]) {
-          if (!self_done && a < k) {
-            visit(a);
-            self_done = true;
-          }
-          visit(k);
-        }
-        if (!self_done) visit(a);
-        const float s_grad = ds_col + ds_row;
-        const float degf =
-            static_cast<float>(neighbors_[static_cast<size_t>(a)].size() + 1);
-        const float dscale = -0.5f * std::pow(degf, -1.5f);
-        ddeg_[static_cast<size_t>(a)] = s_grad * dscale;
-      }
-      if constexpr (debug::NumericsGuardEnabled()) {
-        debug::CheckFiniteArray(ddeg_.data(), static_cast<int64_t>(ddeg_.size()),
-                                static_cast<int>(ddeg_.size()), "PeegaEngine ddeg",
-                                __FILE__, __LINE__);
-      }
-    }
+    linalg::StoreGroupSupport(h_[0], d[0], &x_support_);
+    // 5. Degree chain rule, from the factors, at rows e[l]: ddeg_a reads
+    //    a's closed neighborhood, its scales, and factor rows of a and
+    //    its neighbors. Every moved factor row and rescaled node lies in
+    //    e[l-1], so the rows whose inputs moved are e[l-1] and its
+    //    neighbors: e[l].
+    RefreshDegreeChain(e[static_cast<size_t>(layers_)]);
   }
 
-  // 7. G_X = A_n W_{l-1}: one more propagation hop past the last W level.
+  // 6. G_X = A_n W_{l-1}: one more propagation hop past the last W level.
   if (attack_features_) {
     linalg::NormalizedSpMMRows(neighbors_, scale_,
                                e[static_cast<size_t>(layers_)], W(layers_ - 1),
@@ -393,6 +303,100 @@ status::Status PeegaEngine::RefreshScores() {
     status_ = status::NumericFault("non-finite PEEGA objective");
   }
   return status_;
+}
+
+// G_N(a, b) and G_N(b, a), layer by layer: each U_k dot starts at 0.0f
+// and ascends j like the tape's MatMulTransB, and the U_k are summed
+// left to right like the tape's backward.
+void PeegaEngine::GnPair(int a, int b, float* ab, float* ba) const {
+  for (int k = 0; k < layers_; ++k) {
+    const Matrix& hk = h_[static_cast<size_t>(layers_ - 1 - k)];
+    const float* wa = W(k).row(a);
+    const float* wb = W(k).row(b);
+    const float* ha = hk.row(a);
+    const float* hb = hk.row(b);
+    float uab = 0.0f;
+    float uba = 0.0f;
+    for (int j = 0; j < f_; ++j) {
+      uab += wa[j] * hb[j];
+      uba += wb[j] * ha[j];
+    }
+    *ab = k == 0 ? uab : *ab + uab;
+    *ba = k == 0 ? uba : *ba + uba;
+  }
+}
+
+float PeegaEngine::PairGradient(int a, int b) const {
+  PEEGA_DCHECK(attack_topology_) << " — topology scores need attack_topology";
+  float ab = 0.0f;
+  float ba = 0.0f;
+  GnPair(a, b, &ab, &ba);
+  const float t = ab * scale_[static_cast<size_t>(b)];
+  const float t2 = t * scale_[static_cast<size_t>(a)];
+  return t2 + ddeg_[static_cast<size_t>(a)];
+}
+
+float PeegaEngine::EdgeScore(int u, int v) const {
+  PEEGA_DCHECK(attack_topology_) << " — topology scores need attack_topology";
+  float uv = 0.0f;
+  float vu = 0.0f;
+  GnPair(u, v, &uv, &vu);
+  const float su = scale_[static_cast<size_t>(u)];
+  const float sv = scale_[static_cast<size_t>(v)];
+  const float direction = HasEdge(u, v) ? -1.0f : 1.0f;
+  return direction * ((((uv * sv) * su) + ddeg_[static_cast<size_t>(u)]) +
+                      (((vu * su) * sv) + ddeg_[static_cast<size_t>(v)]));
+}
+
+void PeegaEngine::EdgeScoreRow(int u, int v0, int v1, float* out) const {
+  PEEGA_DCHECK(attack_topology_) << " — topology scores need attack_topology";
+  linalg::EdgeScoreRow(panels_, x_support_, layers_, scale_, ddeg_,
+                       neighbors_[static_cast<size_t>(u)], u, v0, v1, out);
+}
+
+// The tape's s-gradient accumulates the ScaleColsVar backward (column
+// sums of G_N against the row-scaled values) before the ScaleRowsVar
+// backward (row sums against A + I), then scales by d(1/sqrt)/d(deg).
+// A + I is 0/1, so both reduce to sums over the closed neighborhood;
+// zero entries contribute exact zeros in the tape and are skipped here.
+// Each G_N entry comes from the factors: O(deg·l·F) per row, over
+// disjoint output rows.
+void PeegaEngine::RefreshDegreeChain(const std::vector<int>& rows) {
+  const obs::TraceSpan span("peega_engine.degree_chain");
+  parallel::ParallelFor(0, static_cast<int64_t>(rows.size()), kDegreeRowGrain,
+                        [&](int64_t r0, int64_t r1) {
+    for (int64_t r = r0; r < r1; ++r) {
+      const int a = rows[static_cast<size_t>(r)];
+      float ds_col = 0.0f;
+      float ds_row = 0.0f;
+      const auto visit = [&](int i) {
+        float ai = 0.0f;
+        float ia = 0.0f;
+        GnPair(a, i, &ai, &ia);
+        ds_col += ia * scale_[static_cast<size_t>(i)];
+        ds_row += ai * scale_[static_cast<size_t>(i)];
+      };
+      bool self_done = false;
+      for (const int k : neighbors_[static_cast<size_t>(a)]) {
+        if (!self_done && a < k) {
+          visit(a);
+          self_done = true;
+        }
+        visit(k);
+      }
+      if (!self_done) visit(a);
+      const float s_grad = ds_col + ds_row;
+      const float degf =
+          static_cast<float>(neighbors_[static_cast<size_t>(a)].size() + 1);
+      const float dscale = -0.5f * std::pow(degf, -1.5f);
+      ddeg_[static_cast<size_t>(a)] = s_grad * dscale;
+    }
+  });
+  if constexpr (debug::NumericsGuardEnabled()) {
+    debug::CheckFiniteArray(ddeg_.data(), static_cast<int64_t>(ddeg_.size()),
+                            static_cast<int>(ddeg_.size()), "PeegaEngine ddeg",
+                            __FILE__, __LINE__);
+  }
 }
 
 void PeegaEngine::FlipEdge(int u, int v) {
@@ -436,9 +440,7 @@ void PeegaEngine::FlipFeature(int v, int j) {
   PEEGA_CHECK_LT(v, n_);
   PEEGA_CHECK_GE(j, 0);
   PEEGA_CHECK_LT(j, f_);
-  const float flipped = features_(v, j) > 0.5f ? 0.0f : 1.0f;
-  features_(v, j) = flipped;
-  h_[0](v, j) = flipped;
+  h_[0](v, j) = h_[0](v, j) > 0.5f ? 0.0f : 1.0f;
   pending_rows_h0_[static_cast<size_t>(v)] = 1;
   any_pending_ = true;
 }

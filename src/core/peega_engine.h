@@ -15,48 +15,50 @@ namespace repro::core {
 ///
 /// The tape path re-materializes the dense normalized adjacency and
 /// replays `layers` dense MatMuls plus a full backward pass on every
-/// greedy iteration: O(N²F) per committed flip. This engine caches every
-/// intermediate of that computation across flips —
+/// greedy iteration: O(N²F) per committed flip. This engine caches the
+/// N × F factors of that computation across flips —
 ///
 ///   H_k   = A_n^k X            (k = 0..l; H_l is the surrogate M̂),
 ///   G_M   = ∂J/∂M̂              (per-pair p-norm backward terms),
 ///   W_k   = A_n^k G_M          (k = 0..l-1; the backward's dM chain),
-///   U_k   = W_k H_{l-1-k}^T    (the per-layer adjacency-grad terms),
-///   G_N   = ∂J/∂A_n = U_0 + U_1 + ... + U_{l-1},
-///   grad A = chain rule of A_n = D^{-1/2}(A+I)D^{-1/2} through the
-///            degree terms,
+///   panels: W_k and H_{l-1-k} packed for the fused edge scorer, plus
+///           the nonzero features of H_0 per group of eight nodes,
+///   ddeg  = the degree chain rule of A_n = D^{-1/2}(A+I)D^{-1/2},
 ///   G_X   = ∂J/∂X = A_n^l G_M = A_n W_{l-1}
 ///
 /// — and after each committed flip refreshes only what the flip touched:
 /// an edge flip (u,v) rescales the normalized rows of u, v, and their
-/// neighbors, whose effect reaches l hops in H and the T row updates; a
-/// feature flip (v,j) propagates one changed X row the same way. Scan
-/// scores then come from these closed-form gradients instead of a fresh
-/// autograd tape.
+/// neighbors, whose effect reaches l hops in H and W; a feature flip
+/// (v,j) propagates one changed X row the same way. The adjacency
+/// gradient G_N = ∂J/∂A_n = U_0 + U_1 + ..., U_k = W_k H_{l-1-k}ᵀ, has
+/// rank ≤ l·F and is never stored: every entry a scan or the degree
+/// chain needs is computed on the fly from the factors. Memory is
+/// O(l·N·F + nnz), with no N × N term.
 ///
 /// Equivalence with the tape (why the differential tests can demand the
-/// EXACT flip sequence): every cache above is maintained BITWISE equal
+/// EXACT flip sequence): every cached factor is maintained BITWISE equal
 /// to the corresponding tape intermediate. Row updates recompute
 /// affected rows with kernels whose float accumulation order matches
 /// the dense tape kernels exactly (see linalg/incremental.h), and the
-/// gradient caches keep the tape's own term structure — W_k = A_n^k G_M
-/// mirrors the MatMulTransA backward chain and U_k = W_k H_{l-1-k}^T the
-/// MatMulTransB terms, summed into G_N in the tape's reverse-layer
-/// accumulation order — rather than an algebraically equal refactoring
-/// that would round differently. The per-pair backward, the degree chain
-/// rule, and the score composition mirror the tape's float expressions
-/// operation for operation, so scan scores, tie-breaks, the greedy flip
-/// sequence, and the objective are identical to the tape engine, not
-/// merely close. DESIGN.md ("Incremental objective engine") gives the
-/// full argument.
+/// on-the-fly G_N entries keep the tape's own term structure — W_k =
+/// A_n^k G_M mirrors the MatMulTransA backward chain, each U_k(a, b) is
+/// the ascending-j float dot of the tape's MatMulTransB, and the U_k
+/// are summed in the tape's reverse-layer accumulation order — rather
+/// than an algebraically equal refactoring that would round
+/// differently. The per-pair backward, the degree chain rule, and the
+/// score composition mirror the tape's float expressions operation for
+/// operation, so scan scores, tie-breaks, the greedy flip sequence, and
+/// the objective are identical to the tape engine, not merely close.
+/// DESIGN.md ("Incremental objective engine") gives the full argument.
 ///
 /// Threading: all refresh kernels chunk deterministically over disjoint
-/// rows (see linalg/incremental.h), so every cached matrix — and hence
+/// rows (see linalg/incremental.h), so every cached factor — and hence
 /// every score — is bitwise-identical at any thread count.
 ///
 /// Usage (one greedy iteration):
 ///   engine.RefreshScores();
-///   ... scan with EdgeScore / FeatureScore via the Scored scans ...
+///   ... scan with EdgeScoreRow / FeatureScore via the row and scored
+///       scans ...
 ///   engine.FlipEdge(u, v);   // or FlipFeature(v, j); repeatable
 class PeegaEngine {
  public:
@@ -75,10 +77,10 @@ class PeegaEngine {
   /// Captures the clean reference A_n^l X and the initial caches.
   PeegaEngine(const graph::Graph& g, const Config& config);
 
-  /// Brings every cached gradient up to date with the flips committed
+  /// Brings every cached factor up to date with the flips committed
   /// since the last call. Must be called before reading scores or the
-  /// objective; the first call pays the full O(N²F) build, later calls
-  /// only the perturbed region.
+  /// objective; the first call pays the full O(nnz·l·F) build, later
+  /// calls only the perturbed region and its one-hop border.
   ///
   /// Returns non-OK (kNumericFault) when the refreshed objective is no
   /// longer finite — from a genuine numeric fault or the `engine.step`
@@ -89,27 +91,26 @@ class PeegaEngine {
   status::Status RefreshScores();
 
   /// Scan score of flipping edge (u, v), u < v: the tape's
-  /// (1 - 2A[u][v]) * (grad[u][v] + grad[v][u]) from closed-form
-  /// gradients. Valid after RefreshScores().
-  float EdgeScore(int u, int v) const {
-    const float direction = HasEdge(u, v) ? -1.0f : 1.0f;
-    return direction * (PairGradient(u, v) + PairGradient(v, u));
-  }
+  /// (1 - 2A[u][v]) * (grad[u][v] + grad[v][u]) from the factors, the
+  /// 2l dots layer by layer. Valid after RefreshScores(), on an engine
+  /// built with attack_topology (like EdgeScoreRow and PairGradient).
+  float EdgeScore(int u, int v) const;
+
+  /// EdgeScore(u, v) for every v in [v0, v1) into out[v - v0], bitwise
+  /// equal to the per-pair call, from the fused row kernel
+  /// (linalg::EdgeScoreRow). Valid after RefreshScores().
+  void EdgeScoreRow(int u, int v0, int v1, float* out) const;
 
   /// Scan score of flipping feature bit (v, j) — WITHOUT the 1/beta
   /// normalization, exactly like the raw tape gradient scan.
   float FeatureScore(int v, int j) const {
-    const float direction = 1.0f - 2.0f * features_(v, j);
+    const float direction = 1.0f - 2.0f * h_[0](v, j);
     return direction * gx_(v, j);
   }
 
   /// Closed-form ∂J/∂A[a][b] mirroring the tape's accumulated adjacency
   /// gradient (exposed for the gradcheck property tests).
-  float PairGradient(int a, int b) const {
-    const float t = gn_(a, b) * scale_[b];
-    const float t2 = t * scale_[a];
-    return t2 + ddeg_[a];
-  }
+  float PairGradient(int a, int b) const;
 
   /// Closed-form ∂J/∂X[v][j] (exposed for the gradcheck property tests).
   float FeatureGradient(int v, int j) const { return gx_(v, j); }
@@ -133,13 +134,17 @@ class PeegaEngine {
   /// neighbor lists — no O(N²) dense rescan.
   linalg::SparseMatrix PoisonedAdjacency() const;
 
-  const linalg::Matrix& features() const { return features_; }
+  const linalg::Matrix& features() const { return h_[0]; }
   /// Cached surrogate M̂ = A_n^l X̂ (exposed for the delta-update
   /// property tests).
   const linalg::Matrix& surrogate() const { return h_[layers_]; }
 
   int num_nodes() const { return n_; }
   int num_features() const { return f_; }
+
+  /// Bytes held by the cached factors and objective terms (the
+  /// `peega_engine.cache_bytes` gauge): O(l·N·F + nnz).
+  size_t CacheBytes() const;
 
  private:
   void RecomputeGmRow(int r);
@@ -148,12 +153,9 @@ class PeegaEngine {
   std::vector<char> ExpandChanged(const std::vector<char>& mask) const;
   const linalg::Matrix& W(int k) const { return k == 0 ? gm_ : w_[k - 1]; }
   linalg::Matrix* MutableW(int k) { return k == 0 ? &gm_ : &w_[k - 1]; }
-  const std::vector<char>& WNonzero(int k) const {
-    return k == 0 ? gm_nonzero_ : w_nonzero_[k - 1];
-  }
-  std::vector<char>* MutableWNonzero(int k) {
-    return k == 0 ? &gm_nonzero_ : &w_nonzero_[k - 1];
-  }
+  // G_N(a, b) and G_N(b, a) from the row-major factors.
+  void GnPair(int a, int b, float* ab, float* ba) const;
+  void RefreshDegreeChain(const std::vector<int>& rows);
 
   // --- immutable configuration -------------------------------------------
   int n_ = 0;
@@ -178,16 +180,16 @@ class PeegaEngine {
   // --- poisoned state -----------------------------------------------------
   std::vector<std::vector<int>> neighbors_;  // sorted adjacency lists
   std::vector<float> scale_;                 // s_i = 1/sqrt(deg_i + 1)
-  linalg::Matrix features_;
 
   // --- caches (see class comment) ----------------------------------------
-  std::vector<linalg::Matrix> h_;  // H_0..H_layers (H_0 mirrors features_)
+  std::vector<linalg::Matrix> h_;  // H_0..H_layers (H_0 = poisoned X)
   linalg::Matrix gm_;              // G_M = W_0
-  std::vector<char> gm_nonzero_;
   std::vector<linalg::Matrix> w_;  // W_k = A_n^k G_M, k = 1..layers-1
-  std::vector<std::vector<char>> w_nonzero_;
-  std::vector<linalg::Matrix> u_;  // U_k = W_k H_{layers-1-k}^T
-  linalg::Matrix gn_;              // U_0 + U_1 + ... (tape backward order)
+  // linalg::EdgeScoreRow panels: block k = W_k, block layers + k =
+  // H_{layers-1-k}; and H_0's nonzero features per node group. Topology
+  // mode only.
+  linalg::Matrix panels_;
+  std::vector<int> x_support_;
   std::vector<float> ddeg_;
   linalg::Matrix gx_;              // G_X = A_n W_{layers-1}
   // Per-pair objective terms: double for the objective sum, float for

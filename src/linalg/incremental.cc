@@ -1,5 +1,7 @@
 #include "linalg/incremental.h"
 
+#include <algorithm>
+
 #include "debug/check.h"
 #include "debug/numerics.h"
 #include "linalg/kernels/kernels.h"
@@ -11,11 +13,9 @@ namespace repro::linalg {
 
 namespace {
 
-// Chunk grains over the row/column subsets. Outputs are disjoint per
-// row (or per column set within a row), so the partition only affects
-// load balance, never the result.
+// Chunk grain over the row subset. Outputs are disjoint per row, so the
+// partition only affects load balance, never the result.
 constexpr int64_t kSpmmRowGrain = 16;  // O(deg * cols) work per row
-constexpr int64_t kDotRowGrain = 2;    // O(b.rows * cols) work per row
 
 // Scans the freshly written rows for NaN/Inf in debug-numerics builds;
 // checking only the touched rows keeps the guard proportional to the
@@ -74,84 +74,69 @@ void NormalizedSpMM(const std::vector<std::vector<int>>& neighbors,
   NormalizedSpMMRows(neighbors, scale, all, b, out);
 }
 
-void DotRowsInto(const Matrix& a, const Matrix& b,
-                 const std::vector<int>& rows,
-                 const std::vector<char>* row_nonzero, Matrix* out) {
-  PEEGA_CHECK_EQ(a.cols(), b.cols());
-  PEEGA_CHECK_EQ(out->rows(), a.rows());
-  PEEGA_CHECK_EQ(out->cols(), b.rows());
-  const obs::TraceSpan span("linalg.dot_rows");
-  static obs::Counter* const calls =
-      obs::GetCounter("linalg.incremental.calls");
-  static obs::Counter* const flops =
-      obs::GetCounter("linalg.incremental.flops");
-  calls->Add(1);
-  const int n = b.rows(), k = a.cols();
-  // The AVX2 variant gathers 8 consecutive B-rows per step through
-  // 32-bit offsets of at most 8·k elements; fall back to generic when
-  // that could overflow (the variants are bitwise-equal either way).
-  const kernels::DotRowFn kernel = kernels::GatherOffsetsFit(7, k)
-                                       ? kernels::DotRowTable().Select()
-                                       : kernels::DotRowTable().generic;
-  parallel::ParallelFor(
-      0, static_cast<int64_t>(rows.size()), kDotRowGrain,
-      [&](int64_t i0, int64_t i1) {
-        uint64_t dots = 0;
-        for (int64_t i = i0; i < i1; ++i) {
-          const int r = rows[static_cast<size_t>(i)];
-          float* crow = out->row(r);
-          if (row_nonzero != nullptr && !(*row_nonzero)[r]) {
-            for (int j = 0; j < n; ++j) crow[j] = 0.0f;
-            continue;
-          }
-          kernel(a.row(r), b.data(), n, k, crow);
-          dots += static_cast<uint64_t>(n);
-        }
-        flops->Add(2 * dots * static_cast<uint64_t>(k));
-      });
-  CheckRowsFinite(*out, rows, "DotRowsInto");
+Matrix EdgeScorePanels(int n, int features, int blocks) {
+  const int groups = (n + kernels::kPanelGroup - 1) / kernels::kPanelGroup;
+  return Matrix(groups, blocks * features * kernels::kPanelGroup);
 }
 
-void DotColsInto(const Matrix& a, const Matrix& b,
-                 const std::vector<int>& cols,
-                 const std::vector<char>* row_nonzero, Matrix* out) {
-  PEEGA_CHECK_EQ(a.cols(), b.cols());
-  PEEGA_CHECK_EQ(out->rows(), a.rows());
-  PEEGA_CHECK_EQ(out->cols(), b.rows());
-  const obs::TraceSpan span("linalg.dot_cols");
-  static obs::Counter* const calls =
-      obs::GetCounter("linalg.incremental.calls");
-  static obs::Counter* const flops =
-      obs::GetCounter("linalg.incremental.flops");
-  calls->Add(1);
-  const int k = a.cols();
-  flops->Add(2ull * static_cast<uint64_t>(a.rows()) *
-             static_cast<uint64_t>(cols.size()) * static_cast<uint64_t>(k));
-  // The AVX2 variant gathers through ABSOLUTE 32-bit offsets col·k, so
-  // the largest addressable B row index bounds the guard here.
-  const kernels::DotColsRowFn kernel =
-      kernels::GatherOffsetsFit(b.rows() > 0 ? b.rows() - 1 : 0, k)
-          ? kernels::DotColsRowTable().Select()
-          : kernels::DotColsRowTable().generic;
-  parallel::ParallelFor(0, a.rows(), kSpmmRowGrain, [&](int64_t r0,
-                                                        int64_t r1) {
-    for (int i = static_cast<int>(r0); i < static_cast<int>(r1); ++i) {
-      float* crow = out->row(i);
-      if (row_nonzero != nullptr && !(*row_nonzero)[i]) {
-        for (const int j : cols) crow[j] = 0.0f;
-        continue;
-      }
-      kernel(a.row(i), b.data(), cols.data(),
-             static_cast<int64_t>(cols.size()), k, crow);
+void StorePanelRows(const Matrix& factor, const std::vector<int>& rows,
+                    int block, Matrix* panels) {
+  const int features = factor.cols();
+  const int blocks = panels->cols() / (features * kernels::kPanelGroup);
+  float* out = panels->data();
+  for (const int r : rows) {
+    const float* src = factor.row(r);
+    for (int j = 0; j < features; ++j) {
+      out[kernels::PanelOffset(blocks, features, block, j, r)] = src[j];
     }
-  });
-  if constexpr (debug::NumericsGuardEnabled()) {
-    for (int i = 0; i < out->rows(); ++i) {
-      for (const int j : cols) {
-        debug::CheckFiniteArray(out->row(i) + j, 1, 0, "DotColsInto",
-                                __FILE__, __LINE__);
+  }
+}
+
+std::vector<int> EdgeScoreSupport(int n, int features) {
+  const int groups = (n + kernels::kPanelGroup - 1) / kernels::kPanelGroup;
+  return std::vector<int>(static_cast<size_t>(groups) * (features + 1), 0);
+}
+
+void StoreGroupSupport(const Matrix& x, const std::vector<int>& rows,
+                       std::vector<int>* support) {
+  const int n = x.rows();
+  const int features = x.cols();
+  int last_group = -1;
+  for (const int r : rows) {  // rows ascend, so a group's rows are adjacent
+    const int g = r / kernels::kPanelGroup;
+    if (g == last_group) continue;
+    last_group = g;
+    int* slot = support->data() + static_cast<size_t>(g) * (features + 1);
+    const int end = std::min(n, (g + 1) * kernels::kPanelGroup);
+    int count = 0;
+    for (int j = 0; j < features; ++j) {
+      for (int v = g * kernels::kPanelGroup; v < end; ++v) {
+        if (x(v, j) != 0.0f) {
+          slot[++count] = j;
+          break;
+        }
       }
     }
+    slot[0] = count;
+  }
+}
+
+void EdgeScoreRow(const Matrix& panels, const std::vector<int>& support,
+                  int layers,
+                  const std::vector<float>& scale,
+                  const std::vector<float>& ddeg,
+                  const std::vector<int>& neighbors, int u, int v0, int v1,
+                  float* out) {
+  const int features = panels.cols() / (2 * layers * kernels::kPanelGroup);
+  PEEGA_DCHECK_LE(v1, panels.rows() * kernels::kPanelGroup);
+  kernels::EdgeScoreRowTable().Select()(panels.data(), support.data(), layers,
+                                        features, scale.data(), ddeg.data(), u,
+                                        v0, v1, out);
+  // Direction: the tape's (1 - 2A[u][v]) is exactly -1.0f on an existing
+  // edge, and -1.0f * x is the float negation of x.
+  for (auto it = std::lower_bound(neighbors.begin(), neighbors.end(), v0);
+       it != neighbors.end() && *it < v1; ++it) {
+    out[*it - v0] = -out[*it - v0];
   }
 }
 

@@ -9,25 +9,27 @@
 namespace repro::linalg {
 
 /// \file
-/// Sparse row/column update kernels for the incremental PEEGA objective
-/// engine (core/peega_engine.h).
+/// Row kernels for the incremental PEEGA objective engine
+/// (core/peega_engine.h).
 ///
 /// The engine maintains the poisoned adjacency as sorted neighbor lists
-/// plus per-node GCN scales s_i = 1/sqrt(deg_i + 1), and refreshes only
-/// the rows a flip touched. Each kernel below reproduces the float
-/// accumulation order of the corresponding full kernel in `linalg/ops.h`
-/// exactly — `NormalizedSpMMRows` matches `SpMM` on the normalized
-/// adjacency (ascending stored-column order with the self-loop merged
-/// in sorted position, entry value s_r * s_k) and the dot kernels match
-/// `MatMulTransB` (ascending-k float dot products) — so a row updated
-/// incrementally is bitwise identical to the same row of a from-scratch
-/// recompute, and hence to the dense autograd tape path. That bitwise
-/// agreement is what makes the tape engine a differential-testing oracle
-/// for the incremental engine (see DESIGN.md, "Incremental objective
-/// engine").
+/// plus per-node GCN scales s_i = 1/sqrt(deg_i + 1), refreshes only the
+/// N × F factor rows a flip touched, and scores node pairs on the fly
+/// from those factors. Each kernel reproduces the float accumulation
+/// order of the dense tape exactly — `NormalizedSpMMRows` matches `SpMM`
+/// on the normalized adjacency (ascending stored-column order with the
+/// self-loop merged in sorted position, entry value s_r * s_k) and
+/// `EdgeScoreRow` matches the tape's `MatMulTransB` adjacency-gradient
+/// terms (ascending-j float dots) and its degree chain — so a refreshed
+/// row or an on-the-fly score is bitwise identical to the dense autograd
+/// tape path. That bitwise agreement is what makes the tape engine a
+/// differential-testing oracle for the incremental engine (see
+/// DESIGN.md, "Incremental objective engine").
 ///
-/// Threading: all kernels chunk over the given row subset with disjoint
-/// output rows, so results are bitwise-deterministic at any thread count.
+/// Threading: `NormalizedSpMMRows` chunks over the given row subset with
+/// disjoint output rows; `EdgeScoreRow` is serial and is called from the
+/// row-chunked greedy scans. Results are bitwise-deterministic at any
+/// thread count.
 
 /// For each r in `rows`: out[r] = sum over k in sorted({r} ∪ neighbors[r])
 /// of (scale[r] * scale[k]) * b[k] — row r of A_n * B for the GCN-
@@ -44,23 +46,46 @@ void NormalizedSpMM(const std::vector<std::vector<int>>& neighbors,
                     const std::vector<float>& scale, const Matrix& b,
                     Matrix* out);
 
-/// For each r in `rows`: out[r][j] = dot(a[r], b[j]) for all j — row r of
-/// A * B^T, the pairwise-product rows the engine's cached gradient terms
-/// T_m = G_M H_m^T are refreshed with. Rows whose `row_nonzero` flag is 0
-/// are known all-zero in `a` and are cleared without computing dots.
-/// O(|rows| * b.rows() * a.cols()).
-void DotRowsInto(const Matrix& a, const Matrix& b,
-                 const std::vector<int>& rows,
-                 const std::vector<char>* row_nonzero, Matrix* out);
+/// Zeroed factor panels for `EdgeScoreRow` over n nodes: `blocks`
+/// factor matrices of n × `features`, packed in node groups of eight so
+/// that one group's values for a (block, feature) are contiguous (the
+/// layout `kernels::PanelOffset` defines). O(blocks · n · features).
+Matrix EdgeScorePanels(int n, int features, int blocks);
 
-/// Column-update companion of `DotRowsInto`: for every row i of `a` and
-/// each j in `cols`, out[i][j] = dot(a[i], b[j]) (0 when row_nonzero says
-/// a[i] is all-zero). Used when rows of B changed (a feature flip moved
-/// rows of H_m) so whole columns of A * B^T must be refreshed.
-/// O(a.rows() * |cols| * a.cols()).
-void DotColsInto(const Matrix& a, const Matrix& b,
-                 const std::vector<int>& cols,
-                 const std::vector<char>* row_nonzero, Matrix* out);
+/// Copies `rows` of the n × F `factor` into panel block `block`.
+/// O(|rows| · F).
+void StorePanelRows(const Matrix& factor, const std::vector<int>& rows,
+                    int block, Matrix* panels);
+
+/// Empty support lists for `EdgeScoreRow` over n nodes: one slot of
+/// `features` + 1 ints per node group of the panels. O(n · F / 8).
+std::vector<int> EdgeScoreSupport(int n, int features);
+
+/// Rebuilds the support of every node group holding one of `rows`: the
+/// count, then the ascending features at which some node of the group
+/// has a nonzero entry in the n × F matrix `x` (H_0 = X).
+/// O(|rows| · 8 · F).
+void StoreGroupSupport(const Matrix& x, const std::vector<int>& rows,
+                       std::vector<int>* support);
+
+/// Row u of PEEGA's edge-score matrix over v in [v0, v1), computed on
+/// the fly from the low-rank factors of the relaxed-adjacency gradient
+/// G_N = Σ_k W_k H_{l-1-k}ᵀ:
+///   out[v - v0] = ±(P(u, v) + P(v, u)),
+///   P(a, b) = ((G_N(a, b) · s_b) · s_a) + ddeg_a,
+/// negated where v is in `neighbors` (the sorted neighbor list of u:
+/// flipping an existing edge deletes it). `panels` holds 2·l blocks:
+/// block k is W_k, block l + k is H_{l-1-k}; `support` is H_0's group
+/// support (StoreGroupSupport), which the dots against the sparse H_0
+/// walk instead of all F features. Bitwise equal to the tape's
+/// (1 - 2A[u][v]) · (grad[u][v] + grad[v][u]) while the factors are
+/// finite. O((v1 - v0) · l · F).
+void EdgeScoreRow(const Matrix& panels, const std::vector<int>& support,
+                  int layers,
+                  const std::vector<float>& scale,
+                  const std::vector<float>& ddeg,
+                  const std::vector<int>& neighbors, int u, int v0, int v1,
+                  float* out);
 
 }  // namespace repro::linalg
 

@@ -74,16 +74,10 @@ const KernelTable<NormalizedSpMMRowFn>& NormalizedSpMMRowTable() {
   return table;
 }
 
-const KernelTable<DotRowFn>& DotRowTable() {
-  static const KernelTable<DotRowFn> table = {
-      "linalg.dot_rows", &generic::DotRow, PEEGA_AVX2_FN(DotRow), nullptr};
-  return table;
-}
-
-const KernelTable<DotColsRowFn>& DotColsRowTable() {
-  static const KernelTable<DotColsRowFn> table = {
-      "linalg.dot_cols", &generic::DotColsRow, PEEGA_AVX2_FN(DotColsRow),
-      nullptr};
+const KernelTable<EdgeScoreRowFn>& EdgeScoreRowTable() {
+  static const KernelTable<EdgeScoreRowFn> table = {
+      "linalg.edge_score_rows", &generic::EdgeScoreRow,
+      PEEGA_AVX2_FN(EdgeScoreRow), nullptr};
   return table;
 }
 
@@ -109,8 +103,7 @@ std::vector<KernelTableInfo> AllKernelTables() {
       InfoOf(MatMulTable()),        InfoOf(MatMulTransATable()),
       InfoOf(MatMulTransBTable()),  InfoOf(SpMMTable()),
       InfoOf(SpMVTable()),          InfoOf(RowSoftmaxTable()),
-      InfoOf(NormalizedSpMMRowTable()), InfoOf(DotRowTable()),
-      InfoOf(DotColsRowTable()),
+      InfoOf(NormalizedSpMMRowTable()), InfoOf(EdgeScoreRowTable()),
   };
 }
 

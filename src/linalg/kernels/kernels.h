@@ -80,16 +80,43 @@ using NormalizedSpMMRowFn = void (*)(const int* neighbors, int degree, int r,
                                      const float* scale, const float* b,
                                      int cols, float* out_row);
 
-/// One row of A · Bᵀ: out_row[j] = dot(a_row, b + j·k) for j in [0, n),
-/// each dot ascending-k.
-using DotRowFn = void (*)(const float* a_row, const float* b, int64_t n,
-                          int k, float* out_row);
+/// Nodes per group of the packed factor panels `EdgeScoreRowFn` reads:
+/// one AVX2 vector of consecutive nodes.
+inline constexpr int kPanelGroup = 8;
 
-/// Subset-column companion: out_row[cols[c]] = dot(a_row, b + cols[c]·k)
-/// for c in [0, num_cols); untouched columns keep their values.
-using DotColsRowFn = void (*)(const float* a_row, const float* b,
-                              const int* cols, int64_t num_cols, int k,
-                              float* out_row);
+/// Float offset of factor row v, feature j, in panel block b of the
+/// packed layout: node groups of kPanelGroup are stored one after the
+/// other, each holding its blocks' F × kPanelGroup tiles, so the values
+/// of eight consecutive nodes for one (b, j) are contiguous.
+inline int64_t PanelOffset(int blocks, int features, int b, int j,
+                           int64_t v) {
+  return ((v / kPanelGroup) * blocks * features + b * features + j) *
+             kPanelGroup +
+         v % kPanelGroup;
+}
+
+/// Row `u` of PEEGA's edge-score matrix over columns [v0, v1), computed
+/// on the fly from the low-rank factors of the relaxed-adjacency
+/// gradient G_N = Σ_k W_k H_{l-1-k}ᵀ (l = `layers`, k ascending).
+/// `panels` holds 2·l blocks in the PanelOffset layout: block k is W_k,
+/// block l + k is H_{l-1-k}. `support` lists, for node group g at
+/// offset g·(F + 1), how many features have a nonzero H_0 = X entry in
+/// some node of the group, then those features ascending. Writes
+///   out[v - v0] = P(u, v) + P(v, u),
+///   P(a, b) = ((G_N(a, b) · scale[b]) · scale[a]) + ddeg[a],
+///   G_N(a, b) = U_0 + U_1 + ... (left to right),
+///   U_k = Σ_j W_k[a][j] · H_{l-1-k}[b][j]  (ascending j, from 0.0f),
+/// the float expression of the tape's MatMulTransB terms and degree
+/// chain, except that the dots against H_0 = X (k = l - 1) leave out
+/// terms with a zero H_0 operand: U_{l-1}(u, v) adds only the features
+/// in the support of v's group, U_{l-1}(v, u) only those with
+/// H_0[u][j] != 0. Each left-out term is a signed zero, which leaves a
+/// dot that starts at +0.0f unchanged. Edge direction (the sign) is the
+/// caller's.
+using EdgeScoreRowFn = void (*)(const float* panels, const int* support,
+                                int layers, int features, const float* scale,
+                                const float* ddeg, int u, int64_t v0,
+                                int64_t v1, float* out);
 
 // ---------------------------------------------------------------------------
 // Per-op tables
@@ -102,10 +129,9 @@ const KernelTable<SpMMRowsFn>& SpMMTable();
 const KernelTable<SpMVRowsFn>& SpMVTable();
 const KernelTable<RowSoftmaxRowsFn>& RowSoftmaxTable();
 const KernelTable<NormalizedSpMMRowFn>& NormalizedSpMMRowTable();
-const KernelTable<DotRowFn>& DotRowTable();
-const KernelTable<DotColsRowFn>& DotColsRowTable();
+const KernelTable<EdgeScoreRowFn>& EdgeScoreRowTable();
 
-/// The AVX2 dot-family kernels address B rows through 32-bit gather
+/// The AVX2 MatMulTransB kernel addresses B rows through 32-bit gather
 /// offsets (lane l reads b[row_l·k + kk]); callers fall back to the
 /// generic kernel when `max_row·k + k` could exceed INT32_MAX.
 inline bool GatherOffsetsFit(int64_t max_row, int64_t k) {

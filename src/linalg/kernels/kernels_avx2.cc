@@ -7,7 +7,8 @@
 // replays the generic kernel's accumulation sequence for that element —
 // saxpy kernels vectorize across the contiguous j (output-column) loop,
 // dot kernels keep the ascending-k scan per output and spread EIGHT
-// DIFFERENT outputs across lanes via strided gathers. Multiplies and
+// DIFFERENT outputs across lanes, via strided gathers (MatMulTransB) or
+// contiguous loads from transposed panels (EdgeScoreRow). Multiplies and
 // adds round separately (_mm256_mul_ps + _mm256_add_ps, never
 // _mm256_fmadd_ps): the baseline x86-64 scalar reference has no FMA, so
 // a fused variant would differ in the last bit and flip greedy argmax
@@ -18,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/kernels/kernels.h"  // kPanelGroup only
 #include "linalg/kernels/variants.h"
 
 namespace repro::linalg::kernels::avx2 {
@@ -196,36 +198,142 @@ void NormalizedSpMMRow(const int* neighbors, int degree, int r,
   if (!self_done) apply(r);
 }
 
-void DotRow(const float* a_row, const float* b, int64_t n, int k,
-            float* out_row) {
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(out_row + j, DotEight(a_row, b + j * k, k));
+namespace {
+
+// EdgeScoreRow for a compile-time layer count: lane l of node group g
+// owns output 8g + l and keeps its dots in registers over ascending-j
+// loops. Each dot is its own accumulator, so replaying the generic
+// per-dot order needs no gather: the packed panels put the eight nodes
+// of a group side by side, and one group's 2·L·F vectors are
+// contiguous. The two dots against the sparse H_0 = X block leave out
+// the generic kernel's terms: U_{L-1}(v, u) walks u's nonzero features
+// in a first pass over a chunk of groups, U_{L-1}(u, v) the group's
+// support, and the dense loop does the other 2·L - 2 dots. Groups that
+// [v0, v1) cuts are computed whole (the panels are padded to whole
+// groups) and only their lanes inside the range are stored.
+template <int L>
+void EdgeScoreRowFixed(const float* panels, const int* support, int features,
+                       const float* scale, const float* ddeg, int u,
+                       int64_t v0, int64_t v1, float* out) {
+  constexpr int kBlocks = 2 * L;
+  constexpr int64_t kChunkGroups = 16;
+  const int64_t group_floats =
+      static_cast<int64_t>(kBlocks) * features * kPanelGroup;
+  const auto w_at = [features](int k, int j) {
+    return (static_cast<int64_t>(k) * features + j) * kPanelGroup;
+  };
+  const auto h_at = [features](int k, int j) {
+    return (static_cast<int64_t>(L + k) * features + j) * kPanelGroup;
+  };
+  // u's slot in its group (PanelOffset spelled out: inline helpers of
+  // kernels.h must not be instantiated in this ISA-flagged TU).
+  const float* wu = panels + (u / kPanelGroup) * group_floats + u % kPanelGroup;
+  const __m256 vsu = _mm256_set1_ps(scale[u]);
+  const __m256 vdu = _mm256_set1_ps(ddeg[u]);
+  const int64_t g_end = (v1 + kPanelGroup - 1) / kPanelGroup;
+  for (int64_t g0 = v0 / kPanelGroup; g0 < g_end; g0 += kChunkGroups) {
+    const int64_t g1 = std::min(g0 + kChunkGroups, g_end);
+    __m256 sparse_vu[kChunkGroups];
+    for (int64_t g = g0; g < g1; ++g) sparse_vu[g - g0] = _mm256_setzero_ps();
+    for (int j = 0; j < features; ++j) {
+      const float hu = wu[h_at(L - 1, j)];
+      if (hu == 0.0f) continue;
+      const __m256 vhu = _mm256_set1_ps(hu);
+      for (int64_t g = g0; g < g1; ++g) {
+        const __m256 wv =
+            _mm256_loadu_ps(panels + g * group_floats + w_at(L - 1, j));
+        sparse_vu[g - g0] =
+            _mm256_add_ps(sparse_vu[g - g0], _mm256_mul_ps(wv, vhu));
+      }
+    }
+    for (int64_t g = g0; g < g1; ++g) {
+      const float* group = panels + g * group_floats;
+      __m256 uv[L];
+      __m256 vu[L];
+#pragma GCC unroll 4
+      for (int k = 0; k < L; ++k) {
+        uv[k] = _mm256_setzero_ps();
+        vu[k] = _mm256_setzero_ps();
+      }
+      if (L > 1) {
+        for (int j = 0; j < features; ++j) {
+#pragma GCC unroll 4
+          for (int k = 0; k < L - 1; ++k) {
+            const __m256 hv = _mm256_loadu_ps(group + h_at(k, j));
+            uv[k] = _mm256_add_ps(
+                uv[k], _mm256_mul_ps(_mm256_set1_ps(wu[w_at(k, j)]), hv));
+            const __m256 wv = _mm256_loadu_ps(group + w_at(k, j));
+            vu[k] = _mm256_add_ps(
+                vu[k], _mm256_mul_ps(wv, _mm256_set1_ps(wu[h_at(k, j)])));
+          }
+        }
+      }
+      const int* g_support = support + g * (features + 1);
+      for (int i = 1; i <= g_support[0]; ++i) {
+        const int j = g_support[i];
+        const __m256 hv = _mm256_loadu_ps(group + h_at(L - 1, j));
+        uv[L - 1] = _mm256_add_ps(
+            uv[L - 1], _mm256_mul_ps(_mm256_set1_ps(wu[w_at(L - 1, j)]), hv));
+      }
+      vu[L - 1] = sparse_vu[g - g0];
+      __m256 gn_uv = uv[0];
+      __m256 gn_vu = vu[0];
+#pragma GCC unroll 4
+      for (int k = 1; k < L; ++k) {
+        gn_uv = _mm256_add_ps(gn_uv, uv[k]);
+        gn_vu = _mm256_add_ps(gn_vu, vu[k]);
+      }
+      const auto score = [&](__m256 vsv, __m256 vdv) {
+        const __m256 p_uv =
+            _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(gn_uv, vsv), vsu), vdu);
+        const __m256 p_vu =
+            _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(gn_vu, vsu), vsv), vdv);
+        return _mm256_add_ps(p_uv, p_vu);
+      };
+      const int64_t v = g * kPanelGroup;
+      if (v >= v0 && v + kPanelGroup <= v1) {
+        _mm256_storeu_ps(out + (v - v0), score(_mm256_loadu_ps(scale + v),
+                                               _mm256_loadu_ps(ddeg + v)));
+        continue;
+      }
+      // A cut group: scale and ddeg end at the last node, so only the
+      // lanes inside [v0, v1) are loaded and stored.
+      const int64_t lo = std::max(v, v0);
+      const int64_t hi = std::min(v + kPanelGroup, v1);
+      alignas(32) float sv[kPanelGroup] = {};
+      alignas(32) float dv[kPanelGroup] = {};
+      alignas(32) float lanes[kPanelGroup];
+      for (int64_t x = lo; x < hi; ++x) {
+        sv[x - v] = scale[x];
+        dv[x - v] = ddeg[x];
+      }
+      _mm256_store_ps(lanes, score(_mm256_load_ps(sv), _mm256_load_ps(dv)));
+      for (int64_t x = lo; x < hi; ++x) out[x - v0] = lanes[x - v];
+    }
   }
-  for (; j < n; ++j) out_row[j] = DotScalar(a_row, b + j * k, k);
 }
 
-void DotColsRow(const float* a_row, const float* b, const int* cols,
-                int64_t num_cols, int k, float* out_row) {
-  const __m256i vk = _mm256_set1_epi32(k);
-  int64_t c = 0;
-  for (; c + 8 <= num_cols; c += 8) {
-    const __m256i vcols = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(cols + c));
-    const __m256i vidx = _mm256_mullo_epi32(vcols, vk);
-    __m256 acc = _mm256_setzero_ps();
-    for (int kk = 0; kk < k; ++kk) {
-      const __m256 va = _mm256_set1_ps(a_row[kk]);
-      const __m256 vb = _mm256_i32gather_ps(b + kk, vidx, 4);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
-    }
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, acc);
-    for (int l = 0; l < 8; ++l) out_row[cols[c + l]] = lanes[l];
-  }
-  for (; c < num_cols; ++c) {
-    const int j = cols[c];
-    out_row[j] = DotScalar(a_row, b + static_cast<int64_t>(j) * k, k);
+}  // namespace
+
+void EdgeScoreRow(const float* panels, const int* support, int layers,
+                  int features, const float* scale, const float* ddeg, int u,
+                  int64_t v0, int64_t v1, float* out) {
+  switch (layers) {
+    case 1:
+      return EdgeScoreRowFixed<1>(panels, support, features, scale, ddeg, u,
+                                  v0, v1, out);
+    case 2:
+      return EdgeScoreRowFixed<2>(panels, support, features, scale, ddeg, u,
+                                  v0, v1, out);
+    case 3:
+      return EdgeScoreRowFixed<3>(panels, support, features, scale, ddeg, u,
+                                  v0, v1, out);
+    case 4:
+      return EdgeScoreRowFixed<4>(panels, support, features, scale, ddeg, u,
+                                  v0, v1, out);
+    default:  // deeper surrogates than the paper's: scalar reference
+      return generic::EdgeScoreRow(panels, support, layers, features, scale,
+                                   ddeg, u, v0, v1, out);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/kernels/kernels.h"
 #include "linalg/kernels/variants.h"
 
 namespace repro::linalg::kernels::generic {
@@ -126,26 +127,45 @@ void NormalizedSpMMRow(const int* neighbors, int degree, int r,
   if (!self_done) apply(r);
 }
 
-void DotRow(const float* a_row, const float* b, int64_t n, int k,
-            float* out_row) {
-  // Ascending-k float dots, the accumulation order of
-  // linalg::MatMulTransB.
-  for (int64_t j = 0; j < n; ++j) {
-    const float* brow = b + j * k;
-    float dot = 0.0f;
-    for (int kk = 0; kk < k; ++kk) dot += a_row[kk] * brow[kk];
-    out_row[j] = dot;
-  }
-}
-
-void DotColsRow(const float* a_row, const float* b, const int* cols,
-                int64_t num_cols, int k, float* out_row) {
-  for (int64_t c = 0; c < num_cols; ++c) {
-    const int j = cols[c];
-    const float* brow = b + static_cast<int64_t>(j) * k;
-    float dot = 0.0f;
-    for (int kk = 0; kk < k; ++kk) dot += a_row[kk] * brow[kk];
-    out_row[j] = dot;
+void EdgeScoreRow(const float* panels, const int* support, int layers,
+                  int features, const float* scale, const float* ddeg, int u,
+                  int64_t v0, int64_t v1, float* out) {
+  const int blocks = 2 * layers;
+  const auto at = [&](int b, int j, int64_t v) {
+    return panels[PanelOffset(blocks, features, b, j, v)];
+  };
+  const float su = scale[u];
+  const float du = ddeg[u];
+  for (int64_t v = v0; v < v1; ++v) {
+    float gn_uv = 0.0f;  // G_N(u, v)
+    float gn_vu = 0.0f;  // G_N(v, u)
+    // The dots against the sparse H_0 = X block (k = layers - 1) leave
+    // out the terms with a zero H_0 operand (kernels.h).
+    const int* v_support = support + (v / kPanelGroup) * (features + 1);
+    for (int k = 0; k < layers; ++k) {
+      const bool sparse = k == layers - 1;
+      float uv = 0.0f;
+      if (sparse) {
+        for (int i = 1; i <= v_support[0]; ++i) {
+          const int j = v_support[i];
+          uv += at(k, j, u) * at(layers + k, j, v);
+        }
+      } else {
+        for (int j = 0; j < features; ++j) {
+          uv += at(k, j, u) * at(layers + k, j, v);
+        }
+      }
+      float vu = 0.0f;
+      for (int j = 0; j < features; ++j) {
+        const float hu = at(layers + k, j, u);
+        if (sparse && hu == 0.0f) continue;
+        vu += at(k, j, v) * hu;
+      }
+      gn_uv = k == 0 ? uv : gn_uv + uv;
+      gn_vu = k == 0 ? vu : gn_vu + vu;
+    }
+    const float sv = scale[v];
+    out[v - v0] = (((gn_uv * sv) * su) + du) + (((gn_vu * su) * sv) + ddeg[v]);
   }
 }
 

@@ -28,10 +28,9 @@ void RowSoftmaxRows(const float* a, float* c, int64_t r0, int64_t r1, int n);
 void NormalizedSpMMRow(const int* neighbors, int degree, int r,
                        const float* scale, const float* b, int cols,
                        float* out_row);
-void DotRow(const float* a_row, const float* b, int64_t n, int k,
-            float* out_row);
-void DotColsRow(const float* a_row, const float* b, const int* cols,
-                int64_t num_cols, int k, float* out_row);
+void EdgeScoreRow(const float* panels, const int* support, int layers,
+                  int features, const float* scale, const float* ddeg, int u,
+                  int64_t v0, int64_t v1, float* out);
 }  // namespace generic
 
 #if defined(PEEGA_HAVE_AVX2)
@@ -48,10 +47,9 @@ void RowSoftmaxRows(const float* a, float* c, int64_t r0, int64_t r1, int n);
 void NormalizedSpMMRow(const int* neighbors, int degree, int r,
                        const float* scale, const float* b, int cols,
                        float* out_row);
-void DotRow(const float* a_row, const float* b, int64_t n, int k,
-            float* out_row);
-void DotColsRow(const float* a_row, const float* b, const int* cols,
-                int64_t num_cols, int k, float* out_row);
+void EdgeScoreRow(const float* panels, const int* support, int layers,
+                  int features, const float* scale, const float* ddeg, int u,
+                  int64_t v0, int64_t v1, float* out);
 }  // namespace avx2
 #endif  // PEEGA_HAVE_AVX2
 

@@ -175,33 +175,47 @@ void ProbeNormalizedSpMMRows(std::vector<float>* out) {
   }
 }
 
-void ProbeDotRows(std::vector<float>* out) {
-  Rng rng(108);
-  for (const int n : kProbeDims) {
-    const Matrix a = ProbeMatrix(7, 9, &rng);
-    const Matrix b = ProbeMatrix(n, 9, &rng);
-    Matrix c(a.rows(), b.rows());
-    std::vector<char> nonzero(a.rows(), 1);
-    nonzero[2] = 0;
-    DotRowsInto(a, b, {0, 2, 4, 6}, &nonzero, &c);
-    Append(c, out);
-  }
+std::vector<int> AllRows(int n) {
+  std::vector<int> rows(static_cast<size_t>(n));
+  for (int r = 0; r < n; ++r) rows[static_cast<size_t>(r)] = r;
+  return rows;
 }
 
-void ProbeDotCols(std::vector<float>* out) {
-  Rng rng(109);
-  const Matrix a = ProbeMatrix(9, 9, &rng);
-  const Matrix b = ProbeMatrix(21, 9, &rng);
-  std::vector<char> nonzero(a.rows(), 1);
-  nonzero[4] = 0;
-  // Unsorted column subsets of varying size exercise the gathered
-  // (8 at a time) and scalar-tail paths.
-  const std::vector<std::vector<int>> col_sets = {
-      {5}, {2, 19, 7}, {0, 1, 2, 3, 4, 5, 6, 7, 20, 11, 9}};
-  for (const auto& cols : col_sets) {
-    Matrix c(a.rows(), b.rows());
-    DotColsInto(a, b, cols, &nonzero, &c);
-    Append(c, out);
+void ProbeEdgeScoreRows(std::vector<float>* out) {
+  Rng rng(108);
+  const int features = 9;
+  // Layers 1..4 take the AVX2 fixed-depth paths, 5 the scalar fallback.
+  // The H_0 = X block (the last) is sparse binary, so the dots against
+  // it skip terms through both the group support and u's zeros.
+  for (const int layers : {1, 2, 3, 4, 5}) {
+    for (const int n : kProbeDims) {
+      auto [neighbors, scale] = ProbeGraph(n, &rng);
+      Matrix panels = EdgeScorePanels(n, features, 2 * layers);
+      for (int b = 0; b + 1 < 2 * layers; ++b) {
+        StorePanelRows(ProbeMatrix(n, features, &rng), AllRows(n), b,
+                       &panels);
+      }
+      Matrix x(n, features);
+      for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < features; ++j) {
+          x(i, j) = rng.Bernoulli(0.1) ? 1.0f : 0.0f;
+        }
+      }
+      StorePanelRows(x, AllRows(n), 2 * layers - 1, &panels);
+      std::vector<int> support = EdgeScoreSupport(n, features);
+      StoreGroupSupport(x, AllRows(n), &support);
+      std::vector<float> ddeg(static_cast<size_t>(n));
+      for (float& d : ddeg) d = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      std::vector<float> row(static_cast<size_t>(n));
+      for (int u = 0; u < n; ++u) {
+        // The whole row, then the scan's upper-triangle suffix.
+        for (const int v0 : {0, u + 1}) {
+          EdgeScoreRow(panels, support, layers, scale, ddeg, neighbors[u], u,
+                       v0, n, row.data());
+          out->insert(out->end(), row.begin(), row.begin() + (n - v0));
+        }
+      }
+    }
   }
 }
 
@@ -249,18 +263,14 @@ std::vector<OpInfo> BuildRegistry() {
                  "parallel over the requested row subset; disjoint rows",
                  DeterminismClass::kLanePerOutput, true, true, true,
                  &ProbeNormalizedSpMMRows});
-  ops.push_back({"linalg.dot_rows", "linalg::DotRowsInto",
-                 "Row subset of A · Bᵀ as ascending-k dot products.",
-                 "O(|rows| · n · k)",
-                 "parallel over the requested row subset; disjoint rows",
+  ops.push_back({"linalg.edge_score_rows", "linalg::EdgeScoreRow",
+                 "Row of PEEGA edge scores from the low-rank factors of "
+                 "the relaxed-adjacency gradient; the dots against the "
+                 "sparse features H_0 = X skip zero operands.",
+                 "O((v1 - v0) · l · k)",
+                 "serial; called per row inside the row-chunked greedy scans",
                  DeterminismClass::kLanePerOutput, true, true, false,
-                 &ProbeDotRows});
-  ops.push_back({"linalg.dot_cols", "linalg::DotColsInto",
-                 "Column subset of A · Bᵀ as ascending-k dot products.",
-                 "O(m · |cols| · k)",
-                 "row-parallel; disjoint column sets within each row",
-                 DeterminismClass::kLanePerOutput, true, true, false,
-                 &ProbeDotCols});
+                 &ProbeEdgeScoreRows});
   return ops;
 }
 

@@ -25,6 +25,7 @@
 #include "attack/random_attack.h"
 #include "core/peega.h"
 #include "core/peega_batch.h"
+#include "core/peega_engine.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/metrics.h"
@@ -32,6 +33,7 @@
 #include "linalg/matrix.h"
 #include "linalg/ops.h"
 #include "linalg/sparse.h"
+#include "obs/metrics.h"
 #include "parallel/thread_pool.h"
 
 namespace repro {
@@ -188,6 +190,55 @@ TEST(SparseCommitDifferential, PeegaBatchN500) {
 }
 TEST(SparseCommitDifferential, PeegaBatchN2000) {
   RunPeegaBatchDifferential(2000);
+}
+
+// The engine's memory is O(l·N·F + nnz) in every mode: the
+// peega_engine.cache_bytes gauge, set from the engine's own containers,
+// equals the closed-form size of its factors and objective terms, with
+// no N x N term.
+TEST(EngineMemory, CacheBytesGaugeIsLinearInNodes) {
+  const int n = 2000;
+  const Graph g = SbmGraph(n, 77);
+  const size_t f = static_cast<size_t>(g.features.cols());
+  const size_t nnz = static_cast<size_t>(g.adjacency.nnz());
+  struct Mode {
+    const char* name;
+    bool topology;
+    bool features;
+  };
+  for (const Mode mode : {Mode{"both", true, true},
+                          Mode{"features only", false, true},
+                          Mode{"topology only", true, false}}) {
+    for (const int layers : {1, 2, 3}) {
+      core::PeegaEngine::Config config;
+      config.layers = layers;
+      config.attack_topology = mode.topology;
+      config.attack_features = mode.features;
+      const core::PeegaEngine engine(g, config);
+      const size_t l = static_cast<size_t>(layers);
+      const size_t nodes = static_cast<size_t>(n);  // a multiple of 8
+      // H_0..H_l, the clean reference, W_0..W_{l-1}, G_X; the 2l packed
+      // panels, ddeg and H_0's per-group support (F + 1 ints per group
+      // of 8 nodes) with topology; self/pair norms (float) and terms
+      // (double).
+      size_t floats = (l + 1) * nodes * f + nodes * f + l * nodes * f;
+      size_t ints = 0;
+      if (mode.features) floats += nodes * f;
+      if (mode.topology) {
+        floats += 2 * l * nodes * f + nodes;
+        ints += nodes / 8 * (f + 1);
+      }
+      floats += nodes + nnz;
+      const size_t expected = floats * sizeof(float) + ints * sizeof(int) +
+                              (nodes + nnz) * sizeof(double);
+      EXPECT_EQ(engine.CacheBytes(), expected) << mode.name << " l=" << l;
+      EXPECT_EQ(obs::GetGauge("peega_engine.cache_bytes")->value(),
+                static_cast<double>(expected))
+          << mode.name << " l=" << l;
+      EXPECT_LT(expected, nodes * nodes * sizeof(float))
+          << "one N x N float matrix alone would be larger";
+    }
+  }
 }
 
 // The tape engine shares the same sparse commit; one small-n cell keeps
